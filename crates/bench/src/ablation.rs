@@ -153,9 +153,7 @@ pub struct EncoderAblationRow {
 /// Encoder ablation: the record-binding encoder vs the random-projection
 /// encoder, on accuracy and on attack robustness.
 pub fn encoder_ablation(scale: Scale, dim: usize, seed: u64) -> Vec<EncoderAblationRow> {
-    let spec = DatasetSpec::ucihar();
-    let (train_size, test_size) = scale.sizes(&spec);
-    let spec = spec.with_sizes(train_size, test_size);
+    let spec = scale.apply(&DatasetSpec::ucihar());
     let data = synthdata::GeneratorConfig::new(seed).generate(&spec);
     let config = HdcConfig::builder()
         .dimension(dim)
@@ -225,9 +223,7 @@ pub struct LevelAblationRow {
 /// chain vs the classic linear thermometer, measured on ambient
 /// correlation and on recovery stability.
 pub fn level_ablation(scale: Scale, dim: usize, seed: u64) -> Vec<LevelAblationRow> {
-    let spec = DatasetSpec::ucihar();
-    let (train_size, test_size) = scale.sizes(&spec);
-    let spec = spec.with_sizes(train_size, test_size);
+    let spec = scale.apply(&DatasetSpec::ucihar());
     let data = synthdata::GeneratorConfig::new(seed).generate(&spec);
     let config = HdcConfig::builder()
         .dimension(dim)

@@ -8,16 +8,8 @@ use robusthd_bench::ablation::{self, CorruptionPattern};
 use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::Scale;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
 
     println!("Ablation 1: substitution mode x corruption pattern (6% flip budget)");
     println!("(DESIGN.md §8 finding 1: overwrite repairs concentrated damage,");

@@ -12,16 +12,8 @@ use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::{advsim as advbench, Scale};
 use synthdata::DatasetSpec;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     let radii = [0usize, 16, 64, 256];
     println!("Adversarial scenario engine (D=4096, trust gate at 0.45)");
     println!(

@@ -6,16 +6,8 @@
 use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::{fig3, Scale};
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!(
         "Figure 3: recovery vs confidence threshold T_C and substitution rate S \
          (UCI HAR stand-in, {:.0}% attack)",

@@ -6,16 +6,8 @@
 use robusthd_bench::format::{print_header, print_row};
 use robusthd_bench::{fig4a, Scale};
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!("Figure 4a: accuracy over time on endurance-limited PIM (10^9 writes/cell)");
     println!("(paper: Fig. 4a — DNN dies in months, HDC lasts years, bigger D lasts longer)\n");
     let curves = fig4a::run(scale, 1, 16);

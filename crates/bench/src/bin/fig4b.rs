@@ -6,16 +6,8 @@
 use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::{fig4b, Scale};
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!("Figure 4b: DRAM refresh-cycle relaxation (errors vs energy vs model quality)");
     println!("(paper: Fig. 4b — ~4%/~6% error buys ~14%/~22% energy; HDC tolerates it)\n");
     let rows = fig4b::run(scale, 1);

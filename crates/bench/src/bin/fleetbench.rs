@@ -12,16 +12,8 @@ use robusthd_bench::fleetbench::{self, options_for};
 use robusthd_bench::format::{print_header, print_row};
 use robusthd_bench::Scale;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     let opts = options_for(scale);
     println!(
         "Fleet serving under budget (D={}, {} models, budget {} resident, \
@@ -34,7 +26,7 @@ fn main() {
         opts.requests_per_client,
     );
     println!("(fleet answers cross-checked bit-exact against solo serving under eviction churn)\n");
-    let outcome = fleetbench::run(scale).expect("fleetbench runs on loopback");
+    let outcome = fleetbench::run(&opts).expect("fleetbench runs on loopback");
 
     let widths = [10usize, 9, 11, 11, 9, 9, 11, 9];
     print_header(

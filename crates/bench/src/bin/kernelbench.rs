@@ -14,24 +14,24 @@ use robusthd_bench::format::print_row;
 use robusthd_bench::{kernelbench, Scale};
 use synthdata::DatasetSpec;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
-    println!("Execution-tier kernel throughput (D=8192, 12 classes, best of 3)");
+    let scale = Scale::from_args();
+    println!("Execution-tier kernel throughput (D=8192, ucihar operands, best of 3)");
     println!("(every kernel cross-checked bit-exact across tiers before timing)\n");
     let widths = [16usize, 12, 13, 13, 9];
     print_header(
         &["kernel", "MiB/pass", "ref GiB/s", "wide GiB/s", "speedup"],
         &widths,
     );
-    let o = kernelbench::run(&DatasetSpec::ucihar(), scale, 8192, 12, 1, 3);
+    // Operand traffic per timed pass: small at quick scale, where
+    // correctness, not a stable rate, is the point.
+    let pass_bytes = match scale {
+        Scale::Quick => 1 << 20,
+        Scale::Standard => 256 << 20,
+        Scale::Full => 1 << 30,
+    };
+    let spec = scale.apply(&DatasetSpec::ucihar());
+    let o = kernelbench::run(&spec, 8192, 1, 3, pass_bytes).expect("bit-exact kernels");
     for row in &o.rows {
         print_row(
             &[
@@ -51,7 +51,7 @@ fn main() {
     );
     println!(
         "end-to-end predict: {:.0} q/s through the '{}' tier at {} thread(s)",
-        o.predict_qps, o.active_tier, o.threads
+        o.predict_qps, o.kernel_tier, o.threads
     );
     println!();
     println!("json: {}", o.to_json());

@@ -12,16 +12,8 @@ use robusthd_bench::serve::{self, ServeBenchParams};
 use robusthd_bench::Scale;
 use synthdata::DatasetSpec;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     let params = ServeBenchParams::default();
     println!(
         "Daemon serving throughput (D={}, {} clients x {} requests, pipeline {}, \
@@ -49,7 +41,7 @@ fn main() {
         &widths,
     );
     let spec = DatasetSpec::ucihar();
-    let outcome = serve::run(&spec, scale, &params).expect("servebench runs on loopback");
+    let outcome = serve::run(&scale.apply(&spec), &params).expect("servebench runs on loopback");
     print_row(
         &[
             outcome.dataset.clone(),

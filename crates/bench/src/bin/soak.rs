@@ -7,16 +7,8 @@ use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::{soak, Scale};
 use synthdata::DatasetSpec;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!("Chaos soak: closed-loop resilience supervisor (D=4096)");
     println!("(10-step campaign to 12% cumulative corruption, half-image burst at the midpoint)\n");
     let widths = [10usize, 10, 10, 10, 12, 10];

@@ -6,16 +6,8 @@
 use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::{table1, Scale};
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!("Table 1: HDC quality loss under random hardware noise (UCI HAR stand-in)");
     println!("(paper: Table 1 — D in {{5k,10k}} x precision in {{1,2}} bits vs DNN)\n");
     let rows = table1::run(scale, 1, 3);

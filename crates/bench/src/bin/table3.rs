@@ -7,16 +7,8 @@ use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::table3::{self, AttackKind};
 use robusthd_bench::Scale;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!("Table 3: quality loss under bit-flip attack (UCI HAR stand-in, 8-bit baselines, HDC D=10k)");
     println!("(paper: Table 3 — random vs targeted MSB attacks at 2-12% error)\n");
     let rows = table3::run(scale, 1, 3);

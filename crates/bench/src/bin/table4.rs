@@ -6,16 +6,8 @@
 use robusthd_bench::format::{pct, print_header, print_row};
 use robusthd_bench::{table4, Scale};
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     println!("Table 4: quality loss with/without RobustHD data recovery (D=4096)");
     println!("(paper: Table 4 — recovery driven only by unlabeled inference traffic)\n");
     let results = table4::run(scale, 4096, 1, 2);

@@ -12,16 +12,8 @@ use robusthd_bench::format::print_row;
 use robusthd_bench::{trainbench, Scale};
 use synthdata::DatasetSpec;
 
-fn scale_from_args() -> Scale {
-    match std::env::args().nth(1).as_deref() {
-        Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
-        _ => Scale::Standard,
-    }
-}
-
 fn main() {
-    let scale = scale_from_args();
+    let scale = Scale::from_args();
     let threads = [1usize, 2, 4, 8];
     println!("Training throughput by phase (D=4096, 2 retrain epochs, shard=32, best of 3)");
     println!("(fast path cross-checked bit-exact against the scalar reference, counts included)\n");
@@ -39,7 +31,8 @@ fn main() {
     );
     let mut json_lines = Vec::new();
     for spec in DatasetSpec::all() {
-        let o = trainbench::run(&spec, scale, 4096, 1, 2, &threads, 32, 3);
+        let o = trainbench::run(&scale.apply(&spec), 4096, 1, 2, &threads, 32, 3)
+            .expect("bit-exact sweep");
         for row in &o.rows {
             print_row(
                 &[

@@ -7,20 +7,23 @@
 //! functions taking the tier as an argument), so one process reports the
 //! reference/wide ratio for every kernel regardless of which tier the
 //! process-wide dispatch resolved to; only the end-to-end row depends on
-//! the installed tier. Before any timing, every kernel family is
-//! cross-checked bit-exact across tiers — integer counts with `assert_eq`
-//! and similarity floats down to `f64::to_bits` — and the sweep panics
-//! rather than report throughput for a divergent kernel.
+//! the installed tier. Every operand is the dataset's own: the encoded
+//! test split supplies the query, pair and bundle operands, the trained
+//! model's packed class vectors the scoring arena.
+//!
+//! Before any timing, every kernel family is cross-checked bit-exact
+//! across tiers — integer counts exactly and similarity floats down to
+//! `f64::to_bits` — and the sweep returns the divergence rather than
+//! report throughput for a divergent kernel.
 
-use crate::workload::{EncodedWorkload, Scale};
-use hypervector::random::HypervectorSampler;
-use hypervector::similarity::{chunked_hamming, PackedClasses};
+use crate::best_seconds;
+use crate::workload::EncodedWorkload;
+use hypervector::similarity::chunked_hamming;
 use hypervector::tier::{self, KernelTier};
 use hypervector::BinaryHypervector;
-use robusthd::BatchEngine;
+use robusthd::{BatchEngine, TrainedModel};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 use synthdata::DatasetSpec;
 
 const BYTES_PER_WORD: usize = 8;
@@ -29,6 +32,10 @@ const WORD_BITS: usize = 64;
 /// Ties every kernel bit-breaking check in this module back to the parity
 /// tie-break the majority kernel uses (`bitslice::CarrySaveMajority`).
 const TIE_PARITY: u64 = 0x5555_5555_5555_5555;
+
+/// Leading queries (and consecutive query pairs) the cross-check covers,
+/// and the size of the bundled pool the majority rows time.
+const CHECKED: usize = 32;
 
 /// One kernel family, timed on both tiers.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,18 +68,20 @@ const PARITY_BY_DESIGN: &[&str] = &["chunked_hamming"];
 /// The full kernel sweep for one dataset geometry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelBenchOutcome {
-    /// Dataset name (geometry source for the scoring workload).
+    /// Dataset name (source of every operand).
     pub name: String,
     /// Hypervector dimensionality.
     pub dim: usize,
-    /// Number of classes scored against.
+    /// Number of classes scored against (the dataset's).
     pub classes: usize,
-    /// Queries in the end-to-end batch.
+    /// Encoded test queries: the operand pool and the end-to-end batch.
     pub queries: usize,
     /// Timed repetitions per kernel per tier (best wins).
     pub repeats: usize,
+    /// Workload seed.
+    pub seed: u64,
     /// The process-wide installed tier (what `ROBUSTHD_KERNEL_TIER` chose).
-    pub active_tier: String,
+    pub kernel_tier: String,
     /// Batch-engine worker threads for the end-to-end row.
     pub threads: usize,
     /// One row per kernel family.
@@ -93,14 +102,15 @@ impl KernelBenchOutcome {
         let _ = write!(
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"classes\": {}, \"queries\": {}, \
-             \"repeats\": {}, \"active_tier\": \"{}\", \"threads\": {}, \
+             \"repeats\": {}, \"seed\": {}, \"kernel_tier\": \"{}\", \"threads\": {}, \
              \"bit_exact\": true, \"kernels\": [",
             self.name,
             self.dim,
             self.classes,
             self.queries,
             self.repeats,
-            self.active_tier,
+            self.seed,
+            self.kernel_tier,
             self.threads
         );
         for (i, row) in self.rows.iter().enumerate() {
@@ -128,133 +138,97 @@ impl KernelBenchOutcome {
     }
 }
 
-/// Best wall-clock seconds of `f` over `repeats` runs.
-fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(out);
-        best = best.min(elapsed);
-    }
-    best
-}
-
-/// The synthetic operand set every kernel row runs against.
-struct Operands {
-    words: usize,
-    pairs: Vec<(BinaryHypervector, BinaryHypervector)>,
-    classes: Vec<BinaryHypervector>,
-    packed: PackedClasses,
-    queries: Vec<BinaryHypervector>,
-}
-
-impl Operands {
-    fn build(dim: usize, classes: usize, seed: u64) -> Self {
-        let mut sampler = HypervectorSampler::seed_from(seed);
-        let pairs: Vec<_> = (0..16)
-            .map(|_| {
-                let a = sampler.binary(dim);
-                let b = sampler.flip_noise(&a, 0.3);
-                (a, b)
-            })
-            .collect();
-        let class_vecs: Vec<_> = (0..classes).map(|_| sampler.binary(dim)).collect();
-        let packed = PackedClasses::from_classes(&class_vecs);
-        let queries: Vec<_> = (0..32)
-            .map(|i| sampler.flip_noise(&class_vecs[i % classes], 0.2))
-            .collect();
-        Self {
-            words: dim.div_ceil(WORD_BITS),
-            pairs,
-            classes: class_vecs,
-            packed,
-            queries,
-        }
-    }
-}
-
-/// Panics unless every kernel family is bit-identical across tiers on the
-/// bench operands — integer counts exactly, similarity floats to the bit.
-fn cross_check(ops: &Operands, dim: usize) {
-    for (a, b) in &ops.pairs {
-        let aw = a.bits().words();
-        let bw = b.bits().words();
+/// Returns the first kernel family that is not bit-identical across tiers
+/// on the workload operands — integer counts exactly, similarity floats to
+/// the bit.
+fn cross_check(
+    queries: &[BinaryHypervector],
+    model: &TrainedModel,
+    dim: usize,
+) -> Result<(), String> {
+    let words = dim.div_ceil(WORD_BITS);
+    for pair in queries.windows(2).take(CHECKED) {
+        let (a, b) = (&pair[0], &pair[1]);
+        let (aw, bw) = (a.bits().words(), b.bits().words());
         let reference = tier::hamming_words(KernelTier::Reference, aw, bw);
-        assert_eq!(
-            tier::hamming_words(KernelTier::Wide, aw, bw),
-            reference,
-            "wide hamming diverges from reference"
-        );
+        if tier::hamming_words(KernelTier::Wide, aw, bw) != reference {
+            return Err("wide hamming diverges from reference".to_owned());
+        }
         for chunks in [7usize, 8] {
             let fused = chunked_hamming(a, b, chunks);
-            let total: usize = fused.iter().sum();
-            assert_eq!(total, reference, "chunked hamming does not sum to hamming");
+            if fused.iter().sum::<usize>() != reference {
+                return Err(format!(
+                    "chunked hamming over {chunks} chunks does not sum to hamming"
+                ));
+            }
             for (i, &d) in fused.iter().enumerate() {
                 let (s, e) = (i * dim / chunks, (i + 1) * dim / chunks);
                 for t in KernelTier::ALL {
-                    assert_eq!(
-                        tier::hamming_range_words(t, aw, bw, s, e),
-                        d,
-                        "range kernel diverges on tier {}",
-                        t.name()
-                    );
+                    if tier::hamming_range_words(t, aw, bw, s, e) != d {
+                        return Err(format!(
+                            "range kernel diverges on tier {} at chunk {i} of {chunks}",
+                            t.name()
+                        ));
+                    }
                 }
             }
         }
-        let mut x_ref = vec![0u64; ops.words];
-        let mut x_wide = vec![0u64; ops.words];
+        let mut x_ref = vec![0u64; words];
+        let mut x_wide = vec![0u64; words];
         tier::xor_words_into(KernelTier::Reference, &mut x_ref, aw, bw);
         tier::xor_words_into(KernelTier::Wide, &mut x_wide, aw, bw);
-        assert_eq!(x_wide, x_ref, "wide codebook xor diverges from reference");
+        if x_wide != x_ref {
+            return Err("wide codebook xor diverges from reference".to_owned());
+        }
     }
 
-    for query in &ops.queries {
-        let fused = ops.packed.hamming_all(query);
-        for (c, class) in ops.classes.iter().enumerate() {
+    let packed = model.packed();
+    for query in queries.iter().take(CHECKED) {
+        let fused = packed.hamming_all(query);
+        for c in 0..model.num_classes() {
             let d = tier::hamming_words(
                 KernelTier::Reference,
-                class.bits().words(),
+                model.class(c).bits().words(),
                 query.bits().words(),
             );
-            assert_eq!(fused[c], d, "hamming_all diverges at class {c}");
+            if fused[c] != d {
+                return Err(format!(
+                    "hamming_all diverges from the reference tier at class {c} ({} vs {d})",
+                    fused[c]
+                ));
+            }
             // The float the model layer derives from the distance must be
             // bit-for-bit what the reference distance produces.
             let sim = 1.0 - fused[c] as f64 / dim as f64;
             let expected = 1.0 - d as f64 / dim as f64;
-            assert_eq!(
-                sim.to_bits(),
-                expected.to_bits(),
-                "similarity float diverges at class {c}"
-            );
+            if sim.to_bits() != expected.to_bits() {
+                return Err(format!("similarity float diverges at class {c}"));
+            }
         }
     }
 
     // Majority family: ripple planes, bipolar counts, threshold words.
-    let inputs: Vec<&BinaryHypervector> = ops.queries.iter().collect();
-    let mut planes_ref = vec![vec![0u64; ops.words]; 8];
-    let mut planes_wide = vec![vec![0u64; ops.words]; 8];
-    for hv in &inputs {
+    let pool = &queries[..queries.len().min(CHECKED)];
+    let mut planes_ref = vec![vec![0u64; words]; 8];
+    let mut planes_wide = vec![vec![0u64; words]; 8];
+    for hv in pool {
         tier::ripple_add(KernelTier::Reference, &mut planes_ref, hv.bits().words());
         tier::ripple_add(KernelTier::Wide, &mut planes_wide, hv.bits().words());
     }
-    assert_eq!(
-        planes_wide, planes_ref,
-        "wide ripple diverges from reference"
-    );
-    let added = inputs.len() as i64;
+    if planes_wide != planes_ref {
+        return Err("wide majority ripple diverges from reference".to_owned());
+    }
+    let added = pool.len() as i64;
     let mut counts_ref = vec![0i64; dim];
     let mut counts_wide = vec![0i64; dim];
     tier::bipolar_accumulate(KernelTier::Reference, &planes_ref, added, &mut counts_ref);
     tier::bipolar_accumulate(KernelTier::Wide, &planes_ref, added, &mut counts_wide);
-    assert_eq!(
-        counts_wide, counts_ref,
-        "wide bipolar diverges from reference"
-    );
-    let half = inputs.len() as u64 / 2;
-    let mut thr_ref = vec![0u64; ops.words];
-    let mut thr_wide = vec![0u64; ops.words];
+    if counts_wide != counts_ref {
+        return Err("wide bipolar extraction diverges from reference".to_owned());
+    }
+    let half = pool.len() as u64 / 2;
+    let mut thr_ref = vec![0u64; words];
+    let mut thr_wide = vec![0u64; words];
     tier::threshold_words(
         KernelTier::Reference,
         &planes_ref,
@@ -269,7 +243,10 @@ fn cross_check(ops: &Operands, dim: usize) {
         TIE_PARITY,
         &mut thr_wide,
     );
-    assert_eq!(thr_wide, thr_ref, "wide threshold diverges from reference");
+    if thr_wide != thr_ref {
+        return Err("wide threshold extraction diverges from reference".to_owned());
+    }
+    Ok(())
 }
 
 /// Times one kernel closure per tier and assembles the row.
@@ -294,78 +271,100 @@ fn row(
     }
 }
 
-/// Runs the kernel sweep on one dataset geometry.
+/// Runs the kernel sweep on one dataset: `spec` carries the split sizes
+/// (its test split is the query pool), `pass_bytes` the operand traffic
+/// each timed pass targets, so every repeat is milliseconds, not
+/// nanoseconds.
 ///
-/// `dim` and `classes` size the synthetic operand set for the per-kernel
-/// rows; the end-to-end row scores the dataset's encoded test split through
-/// a [`BatchEngine::from_env`] engine (which installs the process-wide
-/// kernel tier from `ROBUSTHD_KERNEL_TIER` and reads `ROBUSTHD_THREADS`).
+/// Constructing the [`BatchEngine::from_env`] engine first installs the
+/// process-wide kernel tier from `ROBUSTHD_KERNEL_TIER` (and reads
+/// `ROBUSTHD_THREADS`); only the end-to-end row runs through it.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any wide kernel diverges bit-for-bit from the reference tier —
-/// the sweep refuses to report throughput for a non-bit-exact kernel.
+/// Returns the divergence if any wide kernel, or the end-to-end batch
+/// prediction, differs bit-for-bit from the reference tier — the sweep
+/// refuses to report throughput for a non-bit-exact kernel — or if the
+/// test split holds fewer than two queries (no operand pair).
 pub fn run(
     spec: &DatasetSpec,
-    scale: Scale,
     dim: usize,
-    classes: usize,
     seed: u64,
     repeats: usize,
-) -> KernelBenchOutcome {
-    assert!(classes > 0 && repeats > 0, "tuning must be positive");
+    pass_bytes: usize,
+) -> Result<KernelBenchOutcome, String> {
+    assert!(repeats > 0 && pass_bytes > 0, "tuning must be positive");
     let engine = BatchEngine::from_env();
-    let ops = Operands::build(dim, classes, seed);
-    cross_check(&ops, dim);
+    let workload = EncodedWorkload::sized(spec, dim, seed);
+    let queries = &workload.test_encoded;
+    let model = &workload.model;
+    if queries.len() < 2 {
+        return Err("kernelbench needs at least two queries".to_owned());
+    }
+    cross_check(queries, model, dim)?;
 
-    let words = ops.words;
-    // Target roughly this much operand traffic per timed pass so each
-    // repeat is milliseconds, not nanoseconds (and stays fast at Quick
-    // scale, where correctness — not a stable rate — is the point).
-    let target_bytes: usize = match scale {
-        Scale::Quick => 1 << 20,
-        Scale::Standard => 256 << 20,
-        Scale::Full => 1 << 30,
-    };
+    // End-to-end gate: batched predictions through the installed tier must
+    // equal the reference tier's per-query argmin (first-wins ties).
+    let classes = model.num_classes();
+    let batched = engine.predict_batch(model, queries);
+    for (q, (query, &got)) in queries.iter().zip(&batched).enumerate() {
+        let mut best = usize::MAX;
+        let mut best_class = 0usize;
+        for c in 0..classes {
+            let d = tier::hamming_words(
+                KernelTier::Reference,
+                model.class(c).bits().words(),
+                query.bits().words(),
+            );
+            if d < best {
+                best = d;
+                best_class = c;
+            }
+        }
+        if got != best_class {
+            return Err(format!(
+                "batched prediction diverges from the reference tier at query {q}"
+            ));
+        }
+    }
+
+    let words = dim.div_ceil(WORD_BITS);
     let mut rows = Vec::new();
 
-    // Pairwise XOR+popcount distance.
+    // Pairwise XOR+popcount distance over consecutive query pairs.
+    let npairs = queries.len() - 1;
     let pair_bytes = 2 * words * BYTES_PER_WORD;
-    let sweeps = (target_bytes / (pair_bytes * ops.pairs.len())).max(1);
-    rows.push(row(
-        "hamming",
-        sweeps * ops.pairs.len() * pair_bytes,
-        repeats,
-        |t| {
-            let mut acc = 0u64;
-            for _ in 0..sweeps {
-                for (a, b) in &ops.pairs {
-                    acc =
-                        acc.wrapping_add(
-                            tier::hamming_words(t, a.bits().words(), b.bits().words()) as u64,
-                        );
-                }
+    let sweeps = (pass_bytes / (pair_bytes * npairs)).max(1);
+    rows.push(row("hamming", sweeps * npairs * pair_bytes, repeats, |t| {
+        let mut acc = 0u64;
+        for _ in 0..sweeps {
+            for pair in queries.windows(2) {
+                acc = acc.wrapping_add(tier::hamming_words(
+                    t,
+                    pair[0].bits().words(),
+                    pair[1].bits().words(),
+                ) as u64);
             }
-            acc
-        },
-    ));
+        }
+        acc
+    }));
 
     // Masked-range distance (chunk-fault localization shape).
     let chunks = 8usize;
     rows.push(row(
         "chunked_hamming",
-        sweeps * ops.pairs.len() * pair_bytes,
+        sweeps * npairs * pair_bytes,
         repeats,
         |t| {
             let mut acc = 0u64;
             for _ in 0..sweeps {
-                for (a, b) in &ops.pairs {
+                for pair in queries.windows(2) {
                     for i in 0..chunks {
                         let (s, e) = (i * dim / chunks, (i + 1) * dim / chunks);
                         acc = acc.wrapping_add(tier::hamming_range_words(
                             t,
-                            a.bits().words(),
-                            b.bits().words(),
+                            pair[0].bits().words(),
+                            pair[1].bits().words(),
                             s,
                             e,
                         ) as u64);
@@ -377,21 +376,22 @@ pub fn run(
     ));
 
     // Class-major scoring: the serving hot loop.
+    let packed = model.packed();
     let score_bytes = (classes + 1) * words * BYTES_PER_WORD;
-    let score_sweeps = (target_bytes / (score_bytes * ops.queries.len())).max(1);
+    let score_sweeps = (pass_bytes / (score_bytes * queries.len())).max(1);
     let mut scratch = Vec::with_capacity(classes);
     rows.push(row(
         "hamming_all",
-        score_sweeps * ops.queries.len() * score_bytes,
+        score_sweeps * queries.len() * score_bytes,
         repeats,
         |t| {
             let mut acc = 0u64;
             for _ in 0..score_sweeps {
-                for query in &ops.queries {
+                for query in queries {
                     tier::hamming_all_into_words(
                         t,
-                        ops.packed.words(),
-                        ops.packed.words_per_class(),
+                        packed.words(),
+                        packed.words_per_class(),
                         classes,
                         query.bits().words(),
                         &mut scratch,
@@ -404,8 +404,9 @@ pub fn run(
     ));
 
     // Carry-save majority ripple: bundle the query pool into bit-planes.
-    let bundle_bytes = ops.queries.len() * words * BYTES_PER_WORD;
-    let bundle_sweeps = (target_bytes / (4 * bundle_bytes)).max(1);
+    let pool = &queries[..queries.len().min(CHECKED)];
+    let bundle_bytes = pool.len() * words * BYTES_PER_WORD;
+    let bundle_sweeps = (pass_bytes / (4 * bundle_bytes)).max(1);
     rows.push(row(
         "majority_ripple",
         bundle_sweeps * bundle_bytes,
@@ -414,7 +415,7 @@ pub fn run(
             let mut acc = 0u64;
             for _ in 0..bundle_sweeps {
                 let mut planes = vec![vec![0u64; words]; 8];
-                for hv in &ops.queries {
+                for hv in pool {
                     tier::ripple_add(t, &mut planes, hv.bits().words());
                 }
                 acc = acc.wrapping_add(planes[0][0]);
@@ -425,12 +426,12 @@ pub fn run(
 
     // Bipolar count extraction + threshold extraction over fixed planes.
     let mut planes = vec![vec![0u64; words]; 8];
-    for hv in &ops.queries {
+    for hv in pool {
         tier::ripple_add(KernelTier::Reference, &mut planes, hv.bits().words());
     }
     let plane_bytes = planes.len() * words * BYTES_PER_WORD;
-    let bip_sweeps = (target_bytes / (8 * plane_bytes)).max(1);
-    let added = ops.queries.len() as i64;
+    let bip_sweeps = (pass_bytes / (8 * plane_bytes)).max(1);
+    let added = pool.len() as i64;
     let mut counts = vec![0i64; dim];
     rows.push(row(
         "bipolar_counts",
@@ -445,9 +446,9 @@ pub fn run(
             acc
         },
     ));
-    let half = ops.queries.len() as u64 / 2;
+    let half = pool.len() as u64 / 2;
     let mut thr = vec![0u64; words];
-    let thr_sweeps = (target_bytes / plane_bytes).max(1);
+    let thr_sweeps = (pass_bytes / plane_bytes).max(1);
     rows.push(row("threshold", thr_sweeps * plane_bytes, repeats, |t| {
         let mut acc = 0u64;
         for _ in 0..thr_sweeps {
@@ -459,17 +460,22 @@ pub fn run(
 
     // Bound-pair codebook XOR.
     let xor_bytes = 3 * words * BYTES_PER_WORD;
-    let xor_sweeps = (target_bytes / (xor_bytes * ops.pairs.len())).max(1);
+    let xor_sweeps = (pass_bytes / (xor_bytes * npairs)).max(1);
     let mut bound = vec![0u64; words];
     rows.push(row(
         "codebook_xor",
-        xor_sweeps * ops.pairs.len() * xor_bytes,
+        xor_sweeps * npairs * xor_bytes,
         repeats,
         |t| {
             let mut acc = 0u64;
             for _ in 0..xor_sweeps {
-                for (a, b) in &ops.pairs {
-                    tier::xor_words_into(t, &mut bound, a.bits().words(), b.bits().words());
+                for pair in queries.windows(2) {
+                    tier::xor_words_into(
+                        t,
+                        &mut bound,
+                        pair[0].bits().words(),
+                        pair[1].bits().words(),
+                    );
                     acc = acc.wrapping_add(bound[0]);
                 }
             }
@@ -481,57 +487,33 @@ pub fn run(
         .iter()
         .find(|r| r.kernel == "hamming_all")
         .map_or(1.0, |r| r.speedup);
+    let predict_qps =
+        queries.len() as f64 / best_seconds(repeats, || engine.predict_batch(model, queries));
 
-    // End-to-end: batch scoring of the dataset's encoded test split through
-    // the installed tier. Cross-checked against the reference tier's
-    // per-query argmin before timing.
-    let workload = EncodedWorkload::build(spec, scale, dim, seed);
-    let queries = &workload.test_encoded;
-    let model = &workload.model;
-    let batched = engine.predict_batch(model, queries);
-    for (q, (query, &got)) in queries.iter().zip(&batched).enumerate() {
-        let mut best = usize::MAX;
-        let mut best_class = 0usize;
-        for c in 0..model.num_classes() {
-            let d = tier::hamming_words(
-                KernelTier::Reference,
-                model.class(c).bits().words(),
-                query.bits().words(),
-            );
-            if d < best {
-                best = d;
-                best_class = c;
-            }
-        }
-        assert_eq!(
-            got, best_class,
-            "batched prediction diverges from the reference tier at query {q}"
-        );
-    }
-    let predict_seconds = best_seconds(repeats, || engine.predict_batch(model, queries));
-    let predict_qps = queries.len() as f64 / predict_seconds;
-
-    KernelBenchOutcome {
+    Ok(KernelBenchOutcome {
         name: spec.name.to_string(),
         dim,
         classes,
         queries: queries.len(),
         repeats,
-        active_tier: tier::active().name().to_string(),
+        seed,
+        kernel_tier: tier::active().name().to_string(),
         threads: engine.config().threads,
         rows,
         scoring_speedup,
         predict_qps,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn sweep_produces_one_row_per_kernel_family() {
-        let o = run(&DatasetSpec::pecan(), Scale::Quick, 1024, 8, 3, 1);
+        let spec = Scale::Quick.apply(&DatasetSpec::pecan());
+        let o = run(&spec, 1024, 3, 1, 1 << 20).expect("bit-exact sweep");
         let kernels: Vec<&str> = o.rows.iter().map(|r| r.kernel.as_str()).collect();
         assert_eq!(
             kernels,
@@ -561,8 +543,9 @@ mod tests {
         );
         assert!(o.scoring_speedup > 0.0);
         assert!(o.predict_qps > 0.0);
+        assert_eq!(o.classes, DatasetSpec::pecan().classes);
         assert!(o.queries > 0);
-        assert!(!o.active_tier.is_empty());
+        assert!(!o.kernel_tier.is_empty());
     }
 
     #[test]
@@ -573,7 +556,8 @@ mod tests {
             classes: 6,
             queries: 600,
             repeats: 3,
-            active_tier: "wide".into(),
+            seed: 2,
+            kernel_tier: "wide".into(),
             threads: 1,
             rows: vec![KernelBenchRow {
                 kernel: "hamming_all".into(),
@@ -589,7 +573,8 @@ mod tests {
         assert_eq!(
             o.to_json(),
             "{\"dataset\": \"ucihar\", \"dim\": 8192, \"classes\": 6, \"queries\": 600, \
-             \"repeats\": 3, \"active_tier\": \"wide\", \"threads\": 1, \"bit_exact\": true, \
+             \"repeats\": 3, \"seed\": 2, \"kernel_tier\": \"wide\", \"threads\": 1, \
+             \"bit_exact\": true, \
              \"kernels\": [{\"kernel\": \"hamming_all\", \"bytes\": 1048576, \
              \"reference_gib_s\": 3.25, \"wide_gib_s\": 6.50, \"speedup\": 2.000, \
              \"parity_expected\": false}], \

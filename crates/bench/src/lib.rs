@@ -7,6 +7,14 @@
 //! in the layout of the paper's tables, and the Criterion benches in
 //! `benches/` time the underlying kernels.
 //!
+//! The five measurement harnesses — [`throughput`], [`trainbench`],
+//! [`kernelbench`], [`serve`] and [`fleetbench`] — live only here. Each
+//! exposes one `run` taking explicit sizes and returning an outcome with
+//! one `to_json`; its bit-exactness gate runs before any timing and
+//! surfaces a divergence as an `Err`. The `src/bin` targets map a
+//! [`Scale`] onto those sizes, and the `robusthd` CLI's bench
+//! subcommands map their flags onto the same calls.
+//!
 //! | Module | Paper artifact |
 //! |---|---|
 //! | [`table1`] | Table 1 — HDC quality loss vs noise, dimension, precision |
@@ -21,8 +29,8 @@
 //! | [`trainbench`] | Extension — bit-sliced training throughput (bundle/retrain) across thread counts |
 //! | [`kernelbench`] | Extension — execution-tier kernel throughput (reference vs wide) per kernel family |
 //! | [`advsim`] | Extension — adversarial input-space attacks, disagreement hunting, joint soak |
-//! | [`serve`]  | Extension — coalesced vs sequential `robusthdd` daemon serving on loopback |
-//! | [`fleetbench`] | Extension — multi-tenant fleet serving under a memory budget (LRU, LogHD, routing) |
+//! | [`serve`]  | Extension — `servebench`: wire bit-exactness, then coalesced vs sequential `robusthdd` serving on loopback |
+//! | [`fleetbench`] | Extension — fleet-vs-solo bit-exactness, then multi-tenant serving under a memory budget (LRU, LogHD, routing) |
 //!
 //! Experiments default to a laptop-scale subsample of the paper's datasets
 //! (exact feature/class geometry, reduced split sizes); see
@@ -50,3 +58,17 @@ pub mod trainbench;
 pub mod workload;
 
 pub use workload::{EncodedWorkload, Scale};
+
+/// Best (minimum) wall-clock seconds of `f` over `repeats` runs; each
+/// run's output is dropped after the clock stops. The one timing loop
+/// every throughput sweep shares.
+pub fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let start = std::time::Instant::now();
+        let out = f();
+        best = best.min(start.elapsed().as_secs_f64());
+        drop(out);
+    }
+    best
+}

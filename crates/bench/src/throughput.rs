@@ -22,10 +22,10 @@
 //! the reported rates always describe the bit-exact engine, never a faster
 //! approximation.
 
-use crate::workload::{EncodedWorkload, Scale};
+use crate::best_seconds;
+use crate::workload::EncodedWorkload;
 use robusthd::{BatchConfig, BatchEngine, EncodeConfig, Encoder, RecordEncoder};
 use std::fmt::Write as _;
-use std::time::Instant;
 use synthdata::DatasetSpec;
 
 /// One timed point of the thread sweep.
@@ -58,6 +58,8 @@ pub struct ThroughputOutcome {
     pub shard_size: usize,
     /// Timed repetitions per thread count (best wins).
     pub repeats: usize,
+    /// Workload seed.
+    pub seed: u64,
     /// Whether the encoder's bound-pair fast path was active.
     pub encode_fast: bool,
     /// One row per thread count, in sweep order.
@@ -72,8 +74,15 @@ impl ThroughputOutcome {
         let _ = write!(
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"queries\": {}, \"shard_size\": {}, \
-             \"repeats\": {}, \"encode_fast\": {}, \"bit_exact\": true, \"sweep\": [",
-            self.name, self.dim, self.queries, self.shard_size, self.repeats, self.encode_fast
+             \"repeats\": {}, \"seed\": {}, \"encode_fast\": {}, \"bit_exact\": true, \
+             \"sweep\": [",
+            self.name,
+            self.dim,
+            self.queries,
+            self.shard_size,
+            self.repeats,
+            self.seed,
+            self.encode_fast
         );
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -91,38 +100,25 @@ impl ThroughputOutcome {
     }
 }
 
-/// Best wall-clock rate (items per second) of `f` over `repeats` runs.
-fn best_rate<T>(items: usize, repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(out);
-        best = best.min(elapsed);
-    }
-    items as f64 / best
-}
-
-/// Runs the thread sweep on one dataset.
+/// Runs the thread sweep on one dataset: the training split trains the
+/// model, every test row is one timed query (`spec` carries both sizes).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the fast-path encoder or the engine's predictions ever diverge
-/// from the sequential reference path — the sweep refuses to report
-/// throughput for a non-bit-exact configuration.
+/// Returns the divergence if the fast-path encoder or the engine's
+/// predictions ever differ from the sequential reference path — the
+/// sweep refuses to report throughput for a non-bit-exact configuration.
 pub fn run(
     spec: &DatasetSpec,
-    scale: Scale,
     dim: usize,
     seed: u64,
     threads: &[usize],
     shard_size: usize,
     repeats: usize,
-) -> ThroughputOutcome {
+) -> Result<ThroughputOutcome, String> {
     assert!(!threads.is_empty(), "thread sweep must not be empty");
     assert!(shard_size > 0 && repeats > 0, "tuning must be positive");
-    let workload = EncodedWorkload::build(spec, scale, dim, seed);
+    let workload = EncodedWorkload::sized(spec, dim, seed);
     let rows = workload.test_rows();
 
     // Cross-check 1: the serving encoder (whatever ROBUSTHD_ENCODE_FAST
@@ -133,16 +129,12 @@ pub fn run(
         EncodeConfig::reference(),
     );
     for (row, encoded) in rows.iter().zip(&workload.test_encoded) {
-        assert_eq!(
-            workload.encoder.encode(row),
-            *encoded,
-            "workload encoding is not reproducible"
-        );
-        assert_eq!(
-            reference_encoder.encode(row),
-            *encoded,
-            "fast-path encoding diverges from the scalar reference"
-        );
+        if workload.encoder.encode(row) != *encoded {
+            return Err("workload encoding is not reproducible".to_owned());
+        }
+        if reference_encoder.encode(row) != *encoded {
+            return Err("fast-path encoding diverges from the scalar reference".to_owned());
+        }
     }
 
     // Cross-check 2: batched and fused predictions against the sequential
@@ -162,28 +154,30 @@ pub fn run(
                 .threads(t)
                 .shard_size(shard_size)
                 .build()
-                .expect("valid batch config"),
+                .map_err(|e| e.to_string())?,
         );
-        assert_eq!(
-            engine.predict_batch(&workload.model, &workload.test_encoded),
-            sequential,
-            "batched predictions at {t} threads diverge from the sequential path"
-        );
-        assert_eq!(
-            engine.predict_raw_batch(&workload.encoder, &workload.model, &rows),
-            sequential,
-            "fused raw predictions at {t} threads diverge from the sequential path"
-        );
+        if engine.predict_batch(&workload.model, &workload.test_encoded) != sequential {
+            return Err(format!(
+                "batched predictions at {t} threads diverge from the sequential path"
+            ));
+        }
+        if engine.predict_raw_batch(&workload.encoder, &workload.model, &rows) != sequential {
+            return Err(format!(
+                "fused raw predictions at {t} threads diverge from the sequential path"
+            ));
+        }
 
-        let encode_qps = best_rate(rows.len(), repeats, || {
-            engine.encode_batch(&workload.encoder, &rows)
-        });
-        let score_qps = best_rate(rows.len(), repeats, || {
-            engine.predict_batch(&workload.model, &workload.test_encoded)
-        });
-        let end_to_end_qps = best_rate(rows.len(), repeats, || {
-            engine.predict_raw_batch(&workload.encoder, &workload.model, &rows)
-        });
+        let items = rows.len() as f64;
+        let encode_qps =
+            items / best_seconds(repeats, || engine.encode_batch(&workload.encoder, &rows));
+        let score_qps = items
+            / best_seconds(repeats, || {
+                engine.predict_batch(&workload.model, &workload.test_encoded)
+            });
+        let end_to_end_qps = items
+            / best_seconds(repeats, || {
+                engine.predict_raw_batch(&workload.encoder, &workload.model, &rows)
+            });
         let base = *baseline.get_or_insert(end_to_end_qps);
         out_rows.push(ThroughputRow {
             threads: t,
@@ -193,24 +187,27 @@ pub fn run(
             speedup: end_to_end_qps / base,
         });
     }
-    ThroughputOutcome {
+    Ok(ThroughputOutcome {
         name: spec.name.to_string(),
         dim,
         queries: rows.len(),
         shard_size,
         repeats,
+        seed,
         encode_fast: workload.encoder.fast_path(),
         rows: out_rows,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn sweep_produces_one_row_per_thread_count() {
-        let o = run(&DatasetSpec::pecan(), Scale::Quick, 2048, 3, &[1, 2], 16, 1);
+        let spec = Scale::Quick.apply(&DatasetSpec::pecan());
+        let o = run(&spec, 2048, 3, &[1, 2], 16, 1).expect("bit-exact sweep");
         assert_eq!(o.rows.len(), 2);
         assert_eq!(o.rows[0].threads, 1);
         assert!((o.rows[0].speedup - 1.0).abs() < 1e-12);
@@ -228,6 +225,7 @@ mod tests {
             queries: 10,
             shard_size: 4,
             repeats: 1,
+            seed: 7,
             encode_fast: true,
             rows: vec![ThroughputRow {
                 threads: 1,
@@ -240,7 +238,8 @@ mod tests {
         assert_eq!(
             o.to_json(),
             "{\"dataset\": \"pecan\", \"dim\": 2048, \"queries\": 10, \"shard_size\": 4, \
-             \"repeats\": 1, \"encode_fast\": true, \"bit_exact\": true, \"sweep\": [\
+             \"repeats\": 1, \"seed\": 7, \"encode_fast\": true, \"bit_exact\": true, \
+             \"sweep\": [\
              {\"threads\": 1, \"encode_qps\": 1500.0, \"score_qps\": 80000.0, \
              \"end_to_end_qps\": 1400.0, \"speedup\": 1.000}]}"
         );

@@ -17,11 +17,11 @@
 //! cross-check still runs; the two paths are interchangeable by
 //! construction).
 
-use crate::workload::{EncodedWorkload, Scale};
+use crate::best_seconds;
+use crate::workload::EncodedWorkload;
 use robusthd::train::train_accumulators;
 use robusthd::{BatchConfig, BatchEngine, TrainConfig, TrainedModel};
 use std::fmt::Write as _;
-use std::time::Instant;
 use synthdata::DatasetSpec;
 
 /// One timed point of the thread sweep.
@@ -60,6 +60,8 @@ pub struct TrainBenchOutcome {
     pub shard_size: usize,
     /// Timed repetitions per thread count (best wins).
     pub repeats: usize,
+    /// Workload seed.
+    pub seed: u64,
     /// Whether the bit-sliced training fast path was active.
     pub train_fast: bool,
     /// One row per thread count, in sweep order.
@@ -74,8 +76,8 @@ impl TrainBenchOutcome {
         let _ = write!(
             out,
             "{{\"dataset\": \"{}\", \"dim\": {}, \"samples\": {}, \"classes\": {}, \
-             \"epochs\": {}, \"shard_size\": {}, \"repeats\": {}, \"train_fast\": {}, \
-             \"bit_exact\": true, \"sweep\": [",
+             \"epochs\": {}, \"shard_size\": {}, \"repeats\": {}, \"seed\": {}, \
+             \"train_fast\": {}, \"bit_exact\": true, \"sweep\": [",
             self.name,
             self.dim,
             self.samples,
@@ -83,6 +85,7 @@ impl TrainBenchOutcome {
             self.epochs,
             self.shard_size,
             self.repeats,
+            self.seed,
             self.train_fast
         );
         for (i, row) in self.rows.iter().enumerate() {
@@ -101,39 +104,26 @@ impl TrainBenchOutcome {
     }
 }
 
-/// Best wall-clock seconds of `f` over `repeats` runs.
-fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(out);
-        best = best.min(elapsed);
-    }
-    best
-}
-
-/// Runs the training thread sweep on one dataset.
+/// Runs the training thread sweep on one dataset's training split (`spec`
+/// carries its size).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the fast training path ever diverges from the sequential
-/// scalar reference — the sweep refuses to report throughput for a
-/// non-bit-exact configuration.
+/// Returns the divergence if the fast training path ever differs from the
+/// sequential scalar reference — the sweep refuses to report throughput
+/// for a non-bit-exact configuration.
 pub fn run(
     spec: &DatasetSpec,
-    scale: Scale,
     dim: usize,
     seed: u64,
     epochs: usize,
     threads: &[usize],
     shard_size: usize,
     repeats: usize,
-) -> TrainBenchOutcome {
+) -> Result<TrainBenchOutcome, String> {
     assert!(!threads.is_empty(), "thread sweep must not be empty");
     assert!(shard_size > 0 && repeats > 0, "tuning must be positive");
-    let workload = EncodedWorkload::build(spec, scale, dim, seed);
+    let workload = EncodedWorkload::sized(spec, dim, seed);
     let encoded = &workload.train_encoded;
     let labels = &workload.train_labels;
     let classes = spec.classes;
@@ -146,14 +136,15 @@ pub fn run(
     // Cross-check: the fast path at every swept thread count against one
     // sequential scalar-reference fit — raw accumulator counts and the
     // thresholded model both.
-    let mut engine = BatchEngine::from_env();
-    engine.set_config(
+    let batch_config = |t: usize| {
         BatchConfig::builder()
-            .threads(1)
+            .threads(t)
             .shard_size(shard_size)
             .build()
-            .expect("valid batch config"),
-    );
+            .map_err(|e| e.to_string())
+    };
+    let mut engine = BatchEngine::from_env();
+    engine.set_config(batch_config(1)?);
     let reference = train_accumulators(
         encoded,
         labels,
@@ -164,13 +155,7 @@ pub fn run(
     );
     let reference_model = TrainedModel::from_accumulators(&reference);
     for &t in threads {
-        engine.set_config(
-            BatchConfig::builder()
-                .threads(t)
-                .shard_size(shard_size)
-                .build()
-                .expect("valid batch config"),
-        );
+        engine.set_config(batch_config(t)?);
         let fast = train_accumulators(
             encoded,
             labels,
@@ -180,21 +165,22 @@ pub fn run(
             &engine,
         );
         for (c, (f, r)) in fast.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                f.counts(),
-                r.counts(),
-                "class {c} accumulator counts at {t} threads diverge from the reference path"
-            );
-            assert_eq!(
-                f, r,
-                "class {c} accumulator at {t} threads diverges from the reference path"
-            );
+            if f.counts() != r.counts() {
+                return Err(format!(
+                    "class {c} accumulator counts at {t} threads diverge from the reference path"
+                ));
+            }
+            if f != r {
+                return Err(format!(
+                    "class {c} accumulator at {t} threads diverges from the reference path"
+                ));
+            }
         }
-        assert_eq!(
-            TrainedModel::from_accumulators(&fast),
-            reference_model,
-            "trained model at {t} threads diverges from the reference path"
-        );
+        if TrainedModel::from_accumulators(&fast) != reference_model {
+            return Err(format!(
+                "trained model at {t} threads diverges from the reference path"
+            ));
+        }
     }
 
     // Time whatever path ROBUSTHD_TRAIN_FAST selected — the cross-check
@@ -203,13 +189,7 @@ pub fn run(
     let mut out_rows = Vec::with_capacity(threads.len());
     let mut baseline = None;
     for &t in threads {
-        engine.set_config(
-            BatchConfig::builder()
-                .threads(t)
-                .shard_size(shard_size)
-                .build()
-                .expect("valid batch config"),
-        );
+        engine.set_config(batch_config(t)?);
         let bundle_seconds = best_seconds(repeats, || {
             train_accumulators(encoded, labels, classes, &cfg_bundle, &train, &engine)
         });
@@ -234,7 +214,7 @@ pub fn run(
             speedup: bundle_qps / base,
         });
     }
-    TrainBenchOutcome {
+    Ok(TrainBenchOutcome {
         name: spec.name.to_string(),
         dim,
         samples: encoded.len(),
@@ -242,27 +222,21 @@ pub fn run(
         epochs,
         shard_size,
         repeats,
+        seed,
         train_fast: train.fast_path,
         rows: out_rows,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     #[test]
     fn sweep_produces_one_row_per_thread_count() {
-        let o = run(
-            &DatasetSpec::pecan(),
-            Scale::Quick,
-            1024,
-            3,
-            1,
-            &[1, 2],
-            16,
-            1,
-        );
+        let spec = Scale::Quick.apply(&DatasetSpec::pecan());
+        let o = run(&spec, 1024, 3, 1, &[1, 2], 16, 1).expect("bit-exact sweep");
         assert_eq!(o.rows.len(), 2);
         assert_eq!(o.rows[0].threads, 1);
         assert!((o.rows[0].speedup - 1.0).abs() < 1e-12);
@@ -284,6 +258,7 @@ mod tests {
             epochs: 2,
             shard_size: 32,
             repeats: 3,
+            seed: 4,
             train_fast: true,
             rows: vec![TrainBenchRow {
                 threads: 1,
@@ -296,8 +271,8 @@ mod tests {
         assert_eq!(
             o.to_json(),
             "{\"dataset\": \"ucihar\", \"dim\": 8192, \"samples\": 400, \"classes\": 6, \
-             \"epochs\": 2, \"shard_size\": 32, \"repeats\": 3, \"train_fast\": true, \
-             \"bit_exact\": true, \"sweep\": [{\"threads\": 1, \"bundle_qps\": 2500.0, \
+             \"epochs\": 2, \"shard_size\": 32, \"repeats\": 3, \"seed\": 4, \
+             \"train_fast\": true, \"bit_exact\": true, \"sweep\": [{\"threads\": 1, \"bundle_qps\": 2500.0, \
              \"retrain_qps\": 1200.5, \"fit_seconds\": 0.2500, \"speedup\": 1.000}]}"
         );
     }

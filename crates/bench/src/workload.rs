@@ -34,6 +34,23 @@ impl Scale {
         };
         (train.min(spec.train_size), test.min(spec.test_size))
     }
+
+    /// `spec` resized to this scale's train/test split sizes.
+    pub fn apply(&self, spec: &DatasetSpec) -> DatasetSpec {
+        let (train, test) = self.sizes(spec);
+        spec.with_sizes(train, test)
+    }
+
+    /// The scale named by the first command-line argument, as every
+    /// `src/bin` harness takes it: `quick`, `full`, anything else
+    /// [`Scale::Standard`].
+    pub fn from_args() -> Self {
+        match std::env::args().nth(1).as_deref() {
+            Some("quick") => Scale::Quick,
+            Some("full") => Scale::Full,
+            _ => Scale::Standard,
+        }
+    }
 }
 
 /// A dataset encoded into hyperspace with its trained HDC model.
@@ -58,11 +75,14 @@ pub struct EncodedWorkload {
 }
 
 impl EncodedWorkload {
-    /// Builds the workload: generate → encode → train.
+    /// Builds the workload at `scale`: generate → encode → train.
     pub fn build(spec: &DatasetSpec, scale: Scale, dim: usize, seed: u64) -> Self {
-        let (train_size, test_size) = scale.sizes(spec);
-        let spec = spec.with_sizes(train_size, test_size);
-        let data = GeneratorConfig::new(seed).generate(&spec);
+        Self::sized(&scale.apply(spec), dim, seed)
+    }
+
+    /// Builds the workload at the split sizes `spec` itself carries.
+    pub fn sized(spec: &DatasetSpec, dim: usize, seed: u64) -> Self {
+        let data = GeneratorConfig::new(seed).generate(spec);
         let config = HdcConfig::builder()
             .dimension(dim)
             .seed(seed ^ 0xabcd)

@@ -1,4 +1,7 @@
-//! The four subcommands, each a pure function from argv to a text report.
+//! The seventeen subcommands, each a pure function from argv to a text
+//! report. The five benchmark subcommands (`throughput`, `trainbench`,
+//! `kernelbench`, `servebench`, `fleetbench`) only map their flags onto
+//! one `robusthd_bench` harness call and print its JSON.
 
 use crate::args::ParsedArgs;
 use advsim::{
@@ -9,10 +12,9 @@ use faultsim::{AttackCampaign, Attacker, ErrorRateSchedule};
 use robusthd::diagnostics::{HealthMonitor, HealthVerdict};
 use robusthd::persist;
 use robusthd::supervisor::{run_soak, ResilienceSupervisor};
-use robusthd::train::train_accumulators;
 use robusthd::{
     accuracy, AdvConfig, BatchConfig, BatchEngine, EncodeConfig, Encoder, HdcConfig, RecordEncoder,
-    RecoveryConfig, RecoveryEngine, SubstitutionMode, SupervisorConfig, TrainConfig, TrainedModel,
+    RecoveryConfig, RecoveryEngine, SubstitutionMode, SupervisorConfig, TrainedModel,
 };
 use std::fmt::Write as _;
 use std::fs::File;
@@ -122,15 +124,7 @@ pub fn generate(argv: &[String]) -> Result<String, String> {
         return Ok(GENERATE_HELP.to_owned());
     }
     let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = match name.as_str() {
-        "mnist" => DatasetSpec::mnist(),
-        "ucihar" | "uci-har" | "har" => DatasetSpec::ucihar(),
-        "isolet" => DatasetSpec::isolet(),
-        "face" => DatasetSpec::face(),
-        "pamap" => DatasetSpec::pamap(),
-        "pecan" => DatasetSpec::pecan(),
-        other => return Err(format!("unknown dataset `{other}`")),
-    };
+    let spec = dataset_spec(&name)?;
     let train_size = args
         .get_parsed_or("train-size", 1200usize)
         .map_err(|e| e.to_string())?;
@@ -1053,6 +1047,27 @@ OPTIONS:
     --repeats <N>      timed repetitions per thread count; best rate wins (default 3)
     --seed <N>         pipeline seed (default 0)";
 
+/// Parses `--threads` as a comma-separated list of positive thread
+/// counts (default 1,2,4,8).
+fn thread_list(args: &ParsedArgs) -> Result<Vec<usize>, String> {
+    let threads: Vec<usize> = args
+        .get("threads")
+        .unwrap_or("1,2,4,8")
+        .split(',')
+        .map(|t| {
+            t.trim()
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("--threads entry `{t}` is not a positive integer"))
+        })
+        .collect::<Result<_, _>>()?;
+    if threads.is_empty() {
+        return Err("--threads list must not be empty".to_owned());
+    }
+    Ok(threads)
+}
+
 /// `robusthd throughput` — queries/sec sweep over thread counts.
 pub fn throughput(argv: &[String]) -> Result<String, String> {
     let args = ParsedArgs::parse(
@@ -1066,15 +1081,7 @@ pub fn throughput(argv: &[String]) -> Result<String, String> {
         return Ok(THROUGHPUT_HELP.to_owned());
     }
     let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = match name.as_str() {
-        "mnist" => DatasetSpec::mnist(),
-        "ucihar" | "uci-har" | "har" => DatasetSpec::ucihar(),
-        "isolet" => DatasetSpec::isolet(),
-        "face" => DatasetSpec::face(),
-        "pamap" => DatasetSpec::pamap(),
-        "pecan" => DatasetSpec::pecan(),
-        other => return Err(format!("unknown dataset `{other}`")),
-    };
+    let spec = dataset_spec(&name)?;
     let queries = args
         .get_parsed_or("queries", 2000usize)
         .map_err(|e| e.to_string())?;
@@ -1096,113 +1103,12 @@ pub fn throughput(argv: &[String]) -> Result<String, String> {
     let seed = args
         .get_parsed_or("seed", 0u64)
         .map_err(|e| e.to_string())?;
-    let threads: Vec<usize> = args
-        .get("threads")
-        .unwrap_or("1,2,4,8")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--threads entry `{t}` is not a positive integer"))
-        })
-        .collect::<Result<_, _>>()?;
-    if threads.is_empty() {
-        return Err("--threads list must not be empty".to_owned());
-    }
-
+    let threads = thread_list(&args)?;
     let spec = spec.with_sizes(400, queries);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let pipeline = train_pipeline(&data.train, &data.test, dim, seed)?;
-    let rows: Vec<&[f64]> = data.test.iter().map(|s| s.features.as_slice()).collect();
-    let sequential: Vec<usize> = pipeline
-        .queries
-        .iter()
-        .map(|q| pipeline.model.predict(q))
-        .collect();
-
-    // Cross-check the serving encoder against the explicit scalar
-    // reference before timing anything.
-    let reference_encoder = robusthd::RecordEncoder::with_encode_config(
-        &pipeline.config,
-        rows[0].len(),
-        robusthd::EncodeConfig::reference(),
-    );
-    for (row, encoded) in rows.iter().zip(&pipeline.queries) {
-        if reference_encoder.encode(row) != *encoded {
-            return Err(
-                "bit-exactness violated: fast-path encoding diverges from the scalar reference"
-                    .to_owned(),
-            );
-        }
-    }
-
-    /// Best items-per-second over `repeats` runs of `f`.
-    fn best_rate<T>(items: usize, repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let _out = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        items as f64 / best
-    }
-
-    let mut engine = BatchEngine::from_env();
-    let mut entries = String::new();
-    let mut baseline_rate = None;
-    for (idx, &t) in threads.iter().enumerate() {
-        engine.set_config(
-            BatchConfig::builder()
-                .threads(t)
-                .shard_size(shard)
-                .build()
-                .map_err(|e| e.to_string())?,
-        );
-        let batched = engine.predict_batch(&pipeline.model, &pipeline.queries);
-        if batched != sequential {
-            return Err(format!(
-                "bit-exactness violated: batched predictions at {t} threads diverge \
-                 from the sequential path"
-            ));
-        }
-        let fused = engine.predict_raw_batch(&pipeline.encoder, &pipeline.model, &rows);
-        if fused != sequential {
-            return Err(format!(
-                "bit-exactness violated: fused raw predictions at {t} threads diverge \
-                 from the sequential path"
-            ));
-        }
-
-        let encode_qps = best_rate(rows.len(), repeats, || {
-            engine.encode_batch(&pipeline.encoder, &rows)
-        });
-        let score_qps = best_rate(rows.len(), repeats, || {
-            engine.predict_batch(&pipeline.model, &pipeline.queries)
-        });
-        let end_to_end_qps = best_rate(rows.len(), repeats, || {
-            engine.predict_raw_batch(&pipeline.encoder, &pipeline.model, &rows)
-        });
-        let baseline = *baseline_rate.get_or_insert(end_to_end_qps);
-        if idx > 0 {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\"threads\": {t}, \"encode_qps\": {encode_qps:.1}, \
-             \"score_qps\": {score_qps:.1}, \"end_to_end_qps\": {end_to_end_qps:.1}, \
-             \"speedup\": {:.3}}}",
-            end_to_end_qps / baseline
-        );
-    }
-
-    Ok(format!(
-        "{{\n  \"dataset\": \"{name}\", \"dim\": {dim}, \"queries\": {queries}, \
-         \"shard_size\": {shard}, \"repeats\": {repeats}, \"seed\": {seed},\n  \
-         \"encode_fast\": {},\n  \"bit_exact\": true,\n  \"sweep\": [\n{entries}\n  ]\n}}",
-        pipeline.encoder.fast_path()
-    ))
+    let mut outcome = robusthd_bench::throughput::run(&spec, dim, seed, &threads, shard, repeats)
+        .map_err(|e| format!("bit-exactness violated: {e}"))?;
+    outcome.name = name; // as named on the command line, not the spec title
+    Ok(outcome.to_json())
 }
 
 const TRAINBENCH_HELP: &str = "\
@@ -1245,15 +1151,7 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
         return Ok(TRAINBENCH_HELP.to_owned());
     }
     let name = args.get("dataset").unwrap_or("ucihar").to_lowercase();
-    let spec = match name.as_str() {
-        "mnist" => DatasetSpec::mnist(),
-        "ucihar" | "uci-har" | "har" => DatasetSpec::ucihar(),
-        "isolet" => DatasetSpec::isolet(),
-        "face" => DatasetSpec::face(),
-        "pamap" => DatasetSpec::pamap(),
-        "pecan" => DatasetSpec::pecan(),
-        other => return Err(format!("unknown dataset `{other}`")),
-    };
+    let spec = dataset_spec(&name)?;
     let samples = args
         .get_parsed_or("samples", 400usize)
         .map_err(|e| e.to_string())?;
@@ -1278,130 +1176,13 @@ pub fn trainbench(argv: &[String]) -> Result<String, String> {
     let seed = args
         .get_parsed_or("seed", 0u64)
         .map_err(|e| e.to_string())?;
-    let threads: Vec<usize> = args
-        .get("threads")
-        .unwrap_or("1,2,4,8")
-        .split(',')
-        .map(|t| {
-            t.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("--threads entry `{t}` is not a positive integer"))
-        })
-        .collect::<Result<_, _>>()?;
-    if threads.is_empty() {
-        return Err("--threads list must not be empty".to_owned());
-    }
-
+    let threads = thread_list(&args)?;
     let spec = spec.with_sizes(samples, 1);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let classes = spec.classes;
-    let cfg_fit = HdcConfig::builder()
-        .dimension(dim)
-        .retrain_epochs(epochs)
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut cfg_bundle = cfg_fit.clone();
-    cfg_bundle.retrain_epochs = 0;
-    let encoder = RecordEncoder::new(&cfg_fit, spec.features);
-    let mut engine = BatchEngine::from_env();
-    let batch_config = |t: usize| {
-        BatchConfig::builder()
-            .threads(t)
-            .shard_size(shard)
-            .build()
-            .map_err(|e| e.to_string())
-    };
-    engine.set_config(batch_config(1)?);
-    let rows: Vec<&[f64]> = data.train.iter().map(|s| s.features.as_slice()).collect();
-    let encoded = engine.encode_batch(&encoder, &rows);
-    let labels: Vec<usize> = data.train.iter().map(|s| s.label).collect();
-
-    // Cross-check the fast path against one sequential scalar-reference
-    // fit at every swept thread count — raw accumulator counts included —
-    // before timing anything.
-    let reference = train_accumulators(
-        &encoded,
-        &labels,
-        classes,
-        &cfg_fit,
-        &TrainConfig::reference(),
-        &engine,
-    );
-    for &t in &threads {
-        engine.set_config(batch_config(t)?);
-        let fast = train_accumulators(
-            &encoded,
-            &labels,
-            classes,
-            &cfg_fit,
-            &TrainConfig::fast(),
-            &engine,
-        );
-        if fast != reference {
-            return Err(format!(
-                "bit-exactness violated: fast-path training at {t} threads diverges \
-                 from the sequential scalar reference"
-            ));
-        }
-    }
-
-    /// Best wall-clock seconds over `repeats` runs of `f`.
-    fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let _out = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    // Time whatever path ROBUSTHD_TRAIN_FAST selected — proven bit-exact
-    // above.
-    let train = TrainConfig::from_env();
-    let mut entries = String::new();
-    let mut baseline_rate = None;
-    for (idx, &t) in threads.iter().enumerate() {
-        engine.set_config(batch_config(t)?);
-        let bundle_seconds = best_seconds(repeats, || {
-            train_accumulators(&encoded, &labels, classes, &cfg_bundle, &train, &engine)
-        });
-        let fit_seconds = best_seconds(repeats, || {
-            TrainedModel::from_accumulators(&train_accumulators(
-                &encoded, &labels, classes, &cfg_fit, &train, &engine,
-            ))
-        });
-        let bundle_qps = encoded.len() as f64 / bundle_seconds;
-        let retrain_seconds = fit_seconds - bundle_seconds;
-        let retrain_qps = if epochs == 0 || retrain_seconds <= 0.0 {
-            0.0
-        } else {
-            (encoded.len() * epochs) as f64 / retrain_seconds
-        };
-        let baseline = *baseline_rate.get_or_insert(bundle_qps);
-        if idx > 0 {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\"threads\": {t}, \"bundle_qps\": {bundle_qps:.1}, \
-             \"retrain_qps\": {retrain_qps:.1}, \"fit_seconds\": {fit_seconds:.4}, \
-             \"speedup\": {:.3}}}",
-            bundle_qps / baseline
-        );
-    }
-
-    Ok(format!(
-        "{{\n  \"dataset\": \"{name}\", \"dim\": {dim}, \"samples\": {}, \"classes\": {classes}, \
-         \"epochs\": {epochs}, \"shard_size\": {shard}, \"repeats\": {repeats}, \
-         \"seed\": {seed},\n  \"train_fast\": {},\n  \"bit_exact\": true,\n  \
-         \"sweep\": [\n{entries}\n  ]\n}}",
-        encoded.len(),
-        train.fast_path
-    ))
+    let mut outcome =
+        robusthd_bench::trainbench::run(&spec, dim, seed, epochs, &threads, shard, repeats)
+            .map_err(|e| format!("bit-exactness violated: {e}"))?;
+    outcome.name = name; // as named on the command line, not the spec title
+    Ok(outcome.to_json())
 }
 
 const KERNELBENCH_HELP: &str = "\
@@ -1431,8 +1212,6 @@ OPTIONS:
 /// `robusthd kernelbench` — execution-tier kernel GiB/s sweep
 /// (reference vs wide), bit-exactness gated.
 pub fn kernelbench(argv: &[String]) -> Result<String, String> {
-    use hypervector::tier::{self, KernelTier};
-
     let args = ParsedArgs::parse(
         argv,
         &["dataset", "dim", "queries", "repeats", "seed", "help"],
@@ -1446,324 +1225,29 @@ pub fn kernelbench(argv: &[String]) -> Result<String, String> {
     let dim = args
         .get_parsed_or("dim", 8192usize)
         .map_err(|e| e.to_string())?;
-    let queries_n = args
+    let queries = args
         .get_parsed_or("queries", 400usize)
         .map_err(|e| e.to_string())?;
     let repeats = args
         .get_parsed_or("repeats", 3usize)
         .map_err(|e| e.to_string())?;
-    if dim == 0 || queries_n == 0 || repeats == 0 {
+    if dim == 0 || queries == 0 || repeats == 0 {
         return Err("--dim, --queries and --repeats must be positive".to_owned());
     }
     let seed = args
         .get_parsed_or("seed", 0u64)
         .map_err(|e| e.to_string())?;
-
-    // Workload: a trained model plus an encoded query batch. Constructing
-    // the engine first installs the process-wide kernel tier from
-    // ROBUSTHD_KERNEL_TIER, so every dispatching call below runs on it.
-    let engine = BatchEngine::from_env();
-    let spec = spec.with_sizes(300, queries_n);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let config = HdcConfig::builder()
-        .dimension(dim)
-        .seed(seed)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let encoder = RecordEncoder::new(&config, spec.features);
-    let train_rows: Vec<&[f64]> = data.train.iter().map(|s| s.features.as_slice()).collect();
-    let encoded = engine.encode_batch(&encoder, &train_rows);
-    let labels: Vec<usize> = data.train.iter().map(|s| s.label).collect();
-    let model = TrainedModel::train(&encoded, &labels, spec.classes, &config);
-    let test_rows: Vec<&[f64]> = data.test.iter().map(|s| s.features.as_slice()).collect();
-    let queries = engine.encode_batch(&encoder, &test_rows);
-    let words = dim.div_ceil(64);
-    let classes = model.num_classes();
-    let packed = model.packed();
-    const TIE_PARITY: u64 = 0x5555_5555_5555_5555;
-
-    // ---- Bit-exactness gate: every kernel family, both tiers, before any
-    // timing. A divergence fails the command instead of reporting rates.
-    let reference_dist = |a: &hypervector::BinaryHypervector,
-                          b: &hypervector::BinaryHypervector| {
-        tier::hamming_words(KernelTier::Reference, a.bits().words(), b.bits().words())
-    };
-    for query in queries.iter().take(8) {
-        let fused = packed.hamming_all(query);
-        for c in 0..classes {
-            let d = reference_dist(model.class(c), query);
-            if fused[c] != d {
-                return Err(format!(
-                    "bit-exactness violated: hamming_all class {c} disagrees with \
-                     the reference tier ({} vs {d})",
-                    fused[c]
-                ));
-            }
-            let sim = 1.0 - fused[c] as f64 / dim as f64;
-            let expected = 1.0 - d as f64 / dim as f64;
-            if sim.to_bits() != expected.to_bits() {
-                return Err(format!(
-                    "bit-exactness violated: similarity float for class {c} diverges"
-                ));
-            }
-        }
-    }
-    for pair in queries.windows(2).take(8) {
-        let (aw, bw) = (pair[0].bits().words(), pair[1].bits().words());
-        let d_ref = tier::hamming_words(KernelTier::Reference, aw, bw);
-        if tier::hamming_words(KernelTier::Wide, aw, bw) != d_ref {
-            return Err("bit-exactness violated: wide hamming diverges from reference".to_owned());
-        }
-        let mut total = 0usize;
-        for i in 0..8usize {
-            let (s, e) = (i * dim / 8, (i + 1) * dim / 8);
-            let r = tier::hamming_range_words(KernelTier::Reference, aw, bw, s, e);
-            if tier::hamming_range_words(KernelTier::Wide, aw, bw, s, e) != r {
-                return Err(format!(
-                    "bit-exactness violated: wide range kernel diverges on chunk {i}"
-                ));
-            }
-            total += r;
-        }
-        if total != d_ref {
-            return Err("bit-exactness violated: range kernel does not sum to hamming".to_owned());
-        }
-        let mut x_ref = vec![0u64; words];
-        let mut x_wide = vec![0u64; words];
-        tier::xor_words_into(KernelTier::Reference, &mut x_ref, aw, bw);
-        tier::xor_words_into(KernelTier::Wide, &mut x_wide, aw, bw);
-        if x_ref != x_wide {
-            return Err("bit-exactness violated: wide codebook xor diverges".to_owned());
-        }
-    }
-    let bundle_pool: Vec<_> = queries.iter().take(16).collect();
-    let mut planes_ref = vec![vec![0u64; words]; 8];
-    let mut planes_wide = vec![vec![0u64; words]; 8];
-    for hv in &bundle_pool {
-        tier::ripple_add(KernelTier::Reference, &mut planes_ref, hv.bits().words());
-        tier::ripple_add(KernelTier::Wide, &mut planes_wide, hv.bits().words());
-    }
-    if planes_ref != planes_wide {
-        return Err("bit-exactness violated: wide majority ripple diverges".to_owned());
-    }
-    let added = bundle_pool.len() as i64;
-    let mut counts_ref = vec![0i64; dim];
-    let mut counts_wide = vec![0i64; dim];
-    tier::bipolar_accumulate(KernelTier::Reference, &planes_ref, added, &mut counts_ref);
-    tier::bipolar_accumulate(KernelTier::Wide, &planes_ref, added, &mut counts_wide);
-    if counts_ref != counts_wide {
-        return Err("bit-exactness violated: wide bipolar extraction diverges".to_owned());
-    }
-    let half = bundle_pool.len() as u64 / 2;
-    let mut thr_ref = vec![0u64; words];
-    let mut thr_wide = vec![0u64; words];
-    tier::threshold_words(
-        KernelTier::Reference,
-        &planes_ref,
-        half,
-        TIE_PARITY,
-        &mut thr_ref,
-    );
-    tier::threshold_words(
-        KernelTier::Wide,
-        &planes_ref,
-        half,
-        TIE_PARITY,
-        &mut thr_wide,
-    );
-    if thr_ref != thr_wide {
-        return Err("bit-exactness violated: wide threshold extraction diverges".to_owned());
-    }
-    // End-to-end gate: batched predictions through the installed tier must
-    // equal the reference tier's per-query argmin (first-wins ties).
-    let batched = engine.predict_batch(&model, &queries);
-    for (q, (query, &got)) in queries.iter().zip(&batched).enumerate() {
-        let mut best = usize::MAX;
-        let mut best_class = 0usize;
-        for c in 0..classes {
-            let d = reference_dist(model.class(c), query);
-            if d < best {
-                best = d;
-                best_class = c;
-            }
-        }
-        if got != best_class {
-            return Err(format!(
-                "bit-exactness violated: batched prediction diverges from the \
-                 reference tier at query {q}"
-            ));
-        }
-    }
-
-    /// Best wall-clock seconds over `repeats` runs of `f`.
-    fn best_seconds<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let _out = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    }
-
-    // ---- Timed rows: both tiers, tier-explicitly, ~64 MiB of operand
-    // traffic per pass so each repeat is milliseconds.
-    const TARGET_BYTES: usize = 64 * 1024 * 1024;
-    let mut entries = String::new();
-    let mut row = |kernel: &str, bytes: usize, pass: &mut dyn FnMut(KernelTier) -> u64| {
-        let gib = bytes as f64 / (1024.0 * 1024.0 * 1024.0);
-        let ref_s = best_seconds(repeats, || {
-            std::hint::black_box(pass(KernelTier::Reference))
-        });
-        let wide_s = best_seconds(repeats, || std::hint::black_box(pass(KernelTier::Wide)));
-        let reference_gib_s = gib / ref_s;
-        let wide_gib_s = gib / wide_s;
-        let speedup = wide_gib_s / reference_gib_s;
-        // Parity-by-design marker: chunked_hamming's sub-64-word chunk
-        // spans route to the scalar loop inside the wide kernel, so tier
-        // parity (speedup ~1) is the intended outcome, not a regression.
-        let parity_expected = kernel == "chunked_hamming";
-        if !entries.is_empty() {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\"kernel\": \"{kernel}\", \"bytes\": {bytes}, \
-             \"reference_gib_s\": {reference_gib_s:.2}, \"wide_gib_s\": {wide_gib_s:.2}, \
-             \"speedup\": {speedup:.3}, \"parity_expected\": {parity_expected}}}"
-        );
-        speedup
-    };
-
-    let pair_bytes = 2 * words * 8;
-    let npairs = queries.len().saturating_sub(1).max(1);
-    let sweeps = (TARGET_BYTES / (pair_bytes * npairs)).max(1);
-    row("hamming", sweeps * npairs * pair_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..sweeps {
-            for pair in queries.windows(2) {
-                acc = acc.wrapping_add(tier::hamming_words(
-                    t,
-                    pair[0].bits().words(),
-                    pair[1].bits().words(),
-                ) as u64);
-            }
-        }
-        acc
-    });
-    row("chunked_hamming", sweeps * npairs * pair_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..sweeps {
-            for pair in queries.windows(2) {
-                for i in 0..8usize {
-                    let (s, e) = (i * dim / 8, (i + 1) * dim / 8);
-                    acc = acc.wrapping_add(tier::hamming_range_words(
-                        t,
-                        pair[0].bits().words(),
-                        pair[1].bits().words(),
-                        s,
-                        e,
-                    ) as u64);
-                }
-            }
-        }
-        acc
-    });
-    let score_bytes = (classes + 1) * words * 8;
-    let score_sweeps = (TARGET_BYTES / (score_bytes * queries.len())).max(1);
-    let mut scratch = Vec::with_capacity(classes);
-    let scoring_speedup = row(
-        "hamming_all",
-        score_sweeps * queries.len() * score_bytes,
-        &mut |t| {
-            let mut acc = 0u64;
-            for _ in 0..score_sweeps {
-                for query in &queries {
-                    tier::hamming_all_into_words(
-                        t,
-                        packed.words(),
-                        packed.words_per_class(),
-                        classes,
-                        query.bits().words(),
-                        &mut scratch,
-                    );
-                    acc = acc.wrapping_add(scratch[0] as u64);
-                }
-            }
-            acc
-        },
-    );
-    let bundle_bytes = bundle_pool.len() * words * 8;
-    let bundle_sweeps = (TARGET_BYTES / (4 * bundle_bytes)).max(1);
-    row("majority_ripple", bundle_sweeps * bundle_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..bundle_sweeps {
-            let mut planes = vec![vec![0u64; words]; 8];
-            for hv in &bundle_pool {
-                tier::ripple_add(t, &mut planes, hv.bits().words());
-            }
-            acc = acc.wrapping_add(planes[0][0]);
-        }
-        acc
-    });
-    let plane_bytes = planes_ref.len() * words * 8;
-    let bip_sweeps = (TARGET_BYTES / (8 * plane_bytes)).max(1);
-    let mut counts = vec![0i64; dim];
-    row("bipolar_counts", bip_sweeps * plane_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..bip_sweeps {
-            tier::bipolar_accumulate(t, &planes_ref, added, &mut counts);
-            acc = acc.wrapping_add(counts[0].unsigned_abs());
-        }
-        acc
-    });
-    let thr_sweeps = (TARGET_BYTES / plane_bytes).max(1);
-    let mut thr = vec![0u64; words];
-    row("threshold", thr_sweeps * plane_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..thr_sweeps {
-            tier::threshold_words(t, &planes_ref, half, TIE_PARITY, &mut thr);
-            acc = acc.wrapping_add(thr[0]);
-        }
-        acc
-    });
-    let xor_bytes = 3 * words * 8;
-    let xor_sweeps = (TARGET_BYTES / (xor_bytes * npairs)).max(1);
-    let mut bound = vec![0u64; words];
-    row("codebook_xor", xor_sweeps * npairs * xor_bytes, &mut |t| {
-        let mut acc = 0u64;
-        for _ in 0..xor_sweeps {
-            for pair in queries.windows(2) {
-                tier::xor_words_into(
-                    t,
-                    &mut bound,
-                    pair[0].bits().words(),
-                    pair[1].bits().words(),
-                );
-                acc = acc.wrapping_add(bound[0]);
-            }
-        }
-        acc
-    });
-
-    let predict_seconds = best_seconds(repeats, || engine.predict_batch(&model, &queries));
-    let predict_qps = queries.len() as f64 / predict_seconds;
-
-    Ok(format!(
-        "{{\n  \"dataset\": \"{name}\", \"dim\": {dim}, \"classes\": {classes}, \
-         \"queries\": {}, \"repeats\": {repeats}, \"seed\": {seed},\n  \
-         \"kernel_tier\": \"{}\", \"threads\": {},\n  \"bit_exact\": true,\n  \
-         \"kernels\": [\n{entries}\n  ],\n  \"scoring_speedup\": {scoring_speedup:.3},\n  \
-         \"predict_qps\": {predict_qps:.1}\n}}",
-        queries.len(),
-        tier::active().name(),
-        engine.config().threads
-    ))
+    // ~64 MiB of operand traffic per timed pass, so each repeat is
+    // milliseconds.
+    let spec = spec.with_sizes(300, queries);
+    let mut outcome = robusthd_bench::kernelbench::run(&spec, dim, seed, repeats, 64 << 20)
+        .map_err(|e| format!("bit-exactness violated: {e}"))?;
+    outcome.name = name; // as named on the command line, not the spec title
+    Ok(outcome.to_json())
 }
 
-/// Resolves a dataset name to its synthetic spec (shared by the serving
-/// subcommands; `throughput`/`trainbench` predate it and inline the same
-/// match).
+/// Resolves a (lowercased) dataset name to its synthetic spec — the one
+/// name match every `--dataset` flag goes through.
 fn dataset_spec(name: &str) -> Result<DatasetSpec, String> {
     match name {
         "mnist" => Ok(DatasetSpec::mnist()),
@@ -2177,55 +1661,23 @@ pub fn servebench(argv: &[String]) -> Result<String, String> {
                 .to_owned(),
         );
     }
-    let config = serve_config_from(&args)?;
-    let batch = batch_config_from(&args)?;
-
+    let params = robusthd_bench::serve::ServeBenchParams {
+        dim,
+        seed,
+        concurrency,
+        requests_per_client: requests,
+        pipeline: pipeline_depth,
+        monitor_window,
+        checkpoint,
+        canaries,
+        config: serve_config_from(&args)?,
+        batch: batch_config_from(&args)?.unwrap_or_else(BatchConfig::from_env),
+    };
     // The canaries ride along as extra test rows so the benchmark rows
     // themselves are never also calibration data.
-    let spec = spec.with_sizes(400, queries + canaries);
-    let data = GeneratorConfig::new(seed).generate(&spec);
-    let pipeline = train_pipeline(&data.train, &data.test, dim, seed)?;
-    let features = data.train[0].features.len();
-    let canary_queries: Vec<hypervector::BinaryHypervector> = pipeline.queries[queries..].to_vec();
-    let rows: Vec<Vec<f64>> = data.test[..queries]
-        .iter()
-        .map(|s| s.features.clone())
-        .collect();
-
-    let threads_label = batch.clone().unwrap_or_else(BatchConfig::from_env).threads;
-    let mk_engine = || -> robusthd_serve::ServeEngine {
-        let calibration = TrainedPipeline {
-            model: pipeline.model.clone(),
-            encoder: pipeline.encoder.clone(),
-            queries: canary_queries.clone(),
-            labels: Vec::new(),
-            config: pipeline.config.clone(),
-            clean_accuracy: pipeline.clean_accuracy,
-        };
-        build_serve_engine(
-            &calibration,
-            features,
-            seed,
-            monitor_window,
-            checkpoint,
-            batch.clone(),
-        )
-        .expect("engine construction is deterministic and already validated")
-    };
-
-    let outcome = robusthd_serve::run_servebench(
-        &mk_engine,
-        &rows,
-        &robusthd_serve::BenchOptions {
-            dataset: name,
-            concurrency,
-            requests_per_client: requests,
-            pipeline: pipeline_depth,
-            config,
-            threads: threads_label,
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let spec = spec.with_sizes(400, canaries + queries);
+    let mut outcome = robusthd_bench::serve::run(&spec, &params).map_err(|e| e.to_string())?;
+    outcome.dataset = name; // as named on the command line, not the spec title
     Ok(outcome.to_json())
 }
 
@@ -2347,7 +1799,7 @@ pub fn fleetbench(argv: &[String]) -> Result<String, String> {
     {
         return Err("fleetbench counts must all be positive".to_owned());
     }
-    let outcome = robusthd_serve::run_fleetbench(&opts).map_err(|e| e.to_string())?;
+    let outcome = robusthd_bench::fleetbench::run(&opts).map_err(|e| e.to_string())?;
     Ok(outcome.to_json())
 }
 
@@ -2688,10 +2140,40 @@ mod tests {
     }
 
     #[test]
+    fn kernelbench_emits_bit_exact_tier_json() {
+        let report = kernelbench(&argv(&[
+            "--dataset",
+            "pecan",
+            "--dim",
+            "1024",
+            "--queries",
+            "40",
+            "--repeats",
+            "1",
+        ]))
+        .expect("kernelbench succeeds");
+        assert!(report.starts_with('{'), "report: {report}");
+        assert!(report.contains("\"bit_exact\": true"), "report: {report}");
+        assert!(report.contains("\"kernel_tier\": "), "report: {report}");
+        assert!(report.contains("hamming_all"), "report: {report}");
+    }
+
+    #[test]
     fn help_flags_short_circuit() {
         for cmd in [
-            generate, evaluate, attack, recover, train, infer, monitor, soak, throughput,
+            generate,
+            evaluate,
+            attack,
+            recover,
+            train,
+            infer,
+            monitor,
+            soak,
+            throughput,
             trainbench,
+            kernelbench,
+            servebench,
+            fleetbench,
         ] {
             let text = cmd(&argv(&["--help"])).expect("help is ok");
             assert!(text.contains("OPTIONS"));

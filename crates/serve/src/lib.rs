@@ -21,9 +21,10 @@
 //! * [`server`] — the `std::net` TCP daemon: accept/reader/writer threads
 //!   around a single drain thread that owns the engine, graceful drain on
 //!   `shutdown`.
-//! * [`loadgen`] — a self-contained pipelined load generator.
-//! * [`benchrun`] — the `servebench` harness: bit-exactness cross-check,
-//!   then sequential vs coalesced timing (`BENCH_serve.json`).
+//! * [`loadgen`] — a self-contained pipelined load generator, with a
+//!   Zipf [`TenantMix`] for mixed-tenant fleet traffic.
+//! * [`tenants`] — the synthetic multi-tenant fleet the fleet benchmarks
+//!   serve.
 //!
 //! Serving through the daemon is **bit-exact** with serving in-process:
 //! coalescing changes *when* queries are scored, never *what* they score.
@@ -33,22 +34,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod benchrun;
 pub mod coalescer;
 pub mod engine;
-pub mod fleetrun;
 pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
+pub mod tenants;
 
-pub use benchrun::{run_servebench, BenchOptions, PhaseOutcome, ServeBenchOutcome};
 pub use coalescer::{Coalescer, PendingQuery, SubmitError};
 pub use engine::{AdmissionPolicy, DrainEngine, FleetEngine, QueryAnswer, ServeEngine};
-pub use fleetrun::{
-    build_fleet_tenants, run_fleetbench, CapacityOutcome, FleetBenchOptions, FleetBenchOutcome,
-    FleetTenant, LogHdOutcome, RoutingOutcome,
-};
 pub use loadgen::{run_loadgen, run_loadgen_mixed, LoadOptions, LoadReport, TenantMix};
 pub use protocol::{Request, Response, StatsSnapshot, MAX_LINE_BYTES};
 pub use server::{serve, serve_fleet, ServeStats, ServerHandle};
+pub use tenants::{build_fleet_tenants, FleetBenchOptions, FleetTenant};

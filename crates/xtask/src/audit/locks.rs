@@ -99,16 +99,25 @@ fn enclosing_block(spans: &[(usize, usize)], at: usize) -> Option<(usize, usize)
         .copied()
 }
 
+/// How an acquisition's guard is held.
+enum Binding {
+    /// A temporary: held to the end of its statement.
+    Temporary,
+    /// `let`-bound to a pattern: held to block end, drop untrackable.
+    Pattern,
+    /// `let`-bound to a variable an explicit `drop` may release early.
+    Named(String),
+}
+
 /// Walks back from `at` to the start of the enclosing statement and
-/// reports the `let`-bound variable, if the acquisition is a binding's
-/// initializer. `Some(None)` means "bound, but to a pattern" (held to
-/// block end, drop untrackable).
-fn let_binding(code: &str, at: usize) -> Option<Option<String>> {
-    let stmt_start = code[..at]
-        .rfind(|c| c == ';' || c == '{' || c == '}')
-        .map_or(0, |i| i + 1);
+/// reports how the acquisition is bound: a `let` initializer binds it to
+/// a variable or a pattern, anything else is a temporary.
+fn let_binding(code: &str, at: usize) -> Binding {
+    let stmt_start = code[..at].rfind([';', '{', '}']).map_or(0, |i| i + 1);
     let stmt = &code[stmt_start..at];
-    let let_at = word_occurrences(stmt, "let").into_iter().next_back()?;
+    let Some(let_at) = word_occurrences(stmt, "let").into_iter().next_back() else {
+        return Binding::Temporary;
+    };
     let after = stmt[let_at + 3..].trim_start();
     let after = after.strip_prefix("mut ").unwrap_or(after).trim_start();
     let var: String = after
@@ -117,9 +126,9 @@ fn let_binding(code: &str, at: usize) -> Option<Option<String>> {
         .map(char::from)
         .collect();
     if var.is_empty() || !after[var.len()..].trim_start().starts_with('=') {
-        Some(None)
+        Binding::Pattern
     } else {
-        Some(Some(var))
+        Binding::Named(var)
     }
 }
 
@@ -203,25 +212,24 @@ fn acquisitions(graph: &Graph<'_>, func: usize) -> Vec<Acquisition> {
         }
         let (_, block_close) = enclosing_block(&spans, at).unwrap_or((open, close));
         let end = match let_binding(code, at) {
-            Some(bound) => {
+            Binding::Temporary => statement_end(code, at, block_close),
+            Binding::Pattern => block_close,
+            Binding::Named(var) => {
                 let mut end = block_close;
-                if let Some(var) = bound {
-                    // An explicit drop shortens the held region.
-                    for drop_at in word_occurrences(&code[at..block_close], "drop") {
-                        let after = &code
-                            [at + drop_at + 4..block_close.min(at + drop_at + 4 + var.len() + 8)];
-                        let after = after.trim_start();
-                        if let Some(rest) = after.strip_prefix('(') {
-                            if rest.trim_start().starts_with(&var) {
-                                end = at + drop_at;
-                                break;
-                            }
+                // An explicit drop shortens the held region.
+                for drop_at in word_occurrences(&code[at..block_close], "drop") {
+                    let after =
+                        &code[at + drop_at + 4..block_close.min(at + drop_at + 4 + var.len() + 8)];
+                    let after = after.trim_start();
+                    if let Some(rest) = after.strip_prefix('(') {
+                        if rest.trim_start().starts_with(&var) {
+                            end = at + drop_at;
+                            break;
                         }
                     }
                 }
                 end
             }
-            None => statement_end(code, at, block_close),
         };
         out.push(Acquisition {
             name,
