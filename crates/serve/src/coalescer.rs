@@ -10,7 +10,10 @@
 //! * **Filling** — the first query in the queue starts a window of
 //!   `window_us`; the drain loop sleeps until the window expires, the
 //!   queue reaches `max_batch`, or a drain begins — whichever comes first
-//!   — then takes up to `max_batch` queries FIFO.
+//!   — then takes up to `max_batch` queries FIFO. At `window_us = 0`
+//!   the window has always expired, so coalescing is self-clocked: the
+//!   drain loop takes everything queued as soon as it is free, and the
+//!   queries that arrive while it serves one batch form the next.
 //! * **Shedding** — a query arriving while `queue_depth` are already
 //!   waiting is refused with [`SubmitError::Overloaded`]; the caller turns
 //!   that into a structured wire response. Load is shed at admission,
@@ -279,6 +282,18 @@ mod tests {
         // FIFO composition.
         assert_eq!(batch[0].features, vec![0.0]);
         assert_eq!(batch[1].features, vec![1.0]);
+    }
+
+    #[test]
+    fn zero_window_drains_the_remainder_without_waiting_for_company() {
+        let c = Coalescer::new(config(0, 4, 8));
+        let _rxs: Vec<_> = (0..5)
+            .map(|i| c.submit(vec![f64::from(i)]).expect("accepted"))
+            .collect();
+        assert_eq!(c.next_batch().expect("not draining").len(), 4);
+        let rest = c.next_batch().expect("not draining");
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].features, vec![4.0]);
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //!                        └────────────┘                    └───────────────┘
 //! ```
 //!
-//! * One **accept thread** polls a non-blocking listener and spawns a
-//!   reader/writer pair per connection; it exits (dropping the listener,
-//!   so new connections are refused) as soon as a drain begins.
+//! * One **accept thread** polls a non-blocking listener, turns Nagle's
+//!   algorithm off on each accepted socket (answers are short lines that
+//!   must leave as soon as they are written), and spawns a reader/writer
+//!   pair per connection; it exits (dropping the listener, so new
+//!   connections are refused) as soon as a drain begins.
 //! * Each **reader thread** decodes NDJSON requests. Classify requests are
 //!   validated (feature count) and submitted to the coalescer; everything
 //!   the connection must answer — immediate replies and pending answers
@@ -111,7 +113,7 @@ struct Shared {
     admission: AdmissionPolicy,
     /// Read-half clones of every live connection, keyed by connection id,
     /// so the drain thread can unblock parked readers once the queue is
-    /// flushed. Readers deregister themselves on exit.
+    /// flushed. Each entry lives exactly as long as its [`Registration`].
     conns: Mutex<HashMap<u64, TcpStream>>,
     /// Set once the drain thread has swept `conns`; connections that
     /// register after the sweep close their own read half immediately.
@@ -295,22 +297,24 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let conn_id = shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                if let Ok(read_half) = stream.try_clone() {
-                    shared.lock_conns().insert(conn_id, read_half);
-                    // The drain sweep may have already run; late arrivals
-                    // close their own read half (responses still flush).
-                    if shared.swept.load(Ordering::Acquire) {
-                        Shared::close_reader(&stream);
-                    }
+                // A socket that cannot be set up is shed: dropping the
+                // stream closes it before anything was read.
+                let Ok(handles) = set_up_connection(&stream) else {
+                    continue;
+                };
+                let registration = Registration::new(shared, conn_id, handles.sweep);
+                // The drain sweep may have already run; late arrivals
+                // close their own read half (responses still flush).
+                if shared.swept.load(Ordering::Acquire) {
+                    Shared::close_reader(&stream);
                 }
-                let conn_shared = Arc::clone(shared);
-                let spawned = thread::Builder::new()
+                // Out of threads: the unstarted closure is dropped with
+                // the stream, write half and registration it owns, so the
+                // connection is shed and deregistered rather than the
+                // daemon dying.
+                let _ = thread::Builder::new()
                     .name("robusthdd-conn".to_owned())
-                    .spawn(move || connection_reader(stream, &conn_shared, conn_id));
-                // Out of threads: shed the connection rather than die.
-                if spawned.is_err() {
-                    shared.lock_conns().remove(&conn_id);
-                }
+                    .spawn(move || connection_reader(stream, handles.write, registration));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -318,6 +322,60 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             // SYN and accept) must not kill the daemon.
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
+    }
+}
+
+/// The extra handles one accepted socket needs besides the reader's own:
+/// all three are clones of one kernel socket, so they share its options.
+struct ConnHandles {
+    /// Registered in [`Shared::conns`] so the drain sweep can shut down
+    /// the read half.
+    sweep: TcpStream,
+    /// Owned by the connection's writer thread.
+    write: TcpStream,
+}
+
+/// Per-connection socket set-up: turns Nagle's algorithm off, then clones
+/// the handles the sweep and the writer need.
+///
+/// The writer sends one short line per answer. With Nagle on, the second
+/// answer of a batch waits in the kernel until the client acknowledges
+/// the first, and a client that delays its ACK until its next request
+/// holds that answer for up to the delayed-ACK timer. Any failure here
+/// sheds the connection: it is never served with Nagle on.
+fn set_up_connection(stream: &TcpStream) -> io::Result<ConnHandles> {
+    stream.set_nodelay(true)?;
+    Ok(ConnHandles {
+        sweep: stream.try_clone()?,
+        write: stream.try_clone()?,
+    })
+}
+
+/// One live connection's entry in [`Shared::conns`]. Dropping it
+/// deregisters the connection, so every way a connection ends — its
+/// reader returning, its writer thread failing to spawn, or its reader
+/// thread failing to spawn (which drops the unstarted closure that owns
+/// the registration) — releases the read-half clone. A clone left in the
+/// map would keep the socket open for the rest of the daemon's life, and
+/// the peer would never see a close.
+struct Registration {
+    shared: Arc<Shared>,
+    conn_id: u64,
+}
+
+impl Registration {
+    fn new(shared: &Arc<Shared>, conn_id: u64, read_half: TcpStream) -> Self {
+        shared.lock_conns().insert(conn_id, read_half);
+        Self {
+            shared: Arc::clone(shared),
+            conn_id,
+        }
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        self.shared.lock_conns().remove(&self.conn_id);
     }
 }
 
@@ -387,12 +445,10 @@ enum Outgoing {
 }
 
 /// Reads requests off one connection, submitting work and queueing
-/// responses (in request order) for the writer thread.
-fn connection_reader(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
-    let Ok(write_half) = stream.try_clone() else {
-        shared.lock_conns().remove(&conn_id);
-        return;
-    };
+/// responses (in request order) for the writer thread. The connection
+/// stays registered until this returns, by whichever path.
+fn connection_reader(stream: TcpStream, write_half: TcpStream, registration: Registration) {
+    let shared = &registration.shared;
     let (out_tx, out_rx) = mpsc::channel::<Outgoing>();
     let writer = thread::Builder::new()
         .name("robusthdd-write".to_owned())
@@ -432,7 +488,6 @@ fn connection_reader(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {
     }
     drop(out_tx); // writer flushes the remaining ordered stream, then exits
     let _ = writer.join();
-    shared.lock_conns().remove(&conn_id);
 }
 
 /// Turns one decoded request into its ordered-stream entry; every request
@@ -605,6 +660,18 @@ mod tests {
                     return out;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn set_up_connection_turns_nagle_off_on_every_handle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _peer) = listener.accept().expect("accept");
+        let handles = set_up_connection(&stream).expect("set-up succeeds");
+        // The clones share one socket, so they all report the option.
+        for handle in [&stream, &handles.sweep, &handles.write] {
+            assert!(handle.nodelay().expect("readable option"));
         }
     }
 
